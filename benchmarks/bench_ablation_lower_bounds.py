@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from repro.bounds.lower import degeneracy, minor_gamma_r, minor_min_width
 from repro.instances.registry import graph_instance
-from repro.search.astar_tw import astar_treewidth
+from repro.search import astar_treewidth
 
 from workloads import Row, print_table
 

@@ -9,8 +9,7 @@ rules (Sections 4.4.3-4.4.5) is exactly this node-count reduction.
 from __future__ import annotations
 
 from repro.instances.registry import graph_instance, hypergraph_instance
-from repro.search.astar_tw import astar_treewidth
-from repro.search.bb_ghw import branch_and_bound_ghw
+from repro.search import astar_treewidth, branch_and_bound_ghw
 
 from workloads import Row, print_table
 

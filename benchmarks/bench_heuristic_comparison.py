@@ -21,7 +21,7 @@ from repro.localsearch.simulated_annealing import (
     sa_treewidth,
 )
 from repro.localsearch.tabu import TabuParameters, tabu_ghw, tabu_treewidth
-from repro.search.astar_tw import astar_treewidth
+from repro.search import astar_treewidth
 
 from workloads import Row, print_table
 

@@ -13,8 +13,7 @@ from __future__ import annotations
 from repro.bounds.lower import treewidth_lower_bound
 from repro.bounds.upper import upper_bound_ordering
 from repro.instances.registry import graph_instance
-from repro.search.astar_tw import astar_treewidth
-from repro.search.bb_tw import branch_and_bound_treewidth
+from repro.search import astar_treewidth, branch_and_bound_treewidth
 
 from workloads import (
     SEARCH_NODE_LIMIT,

@@ -11,7 +11,7 @@ from __future__ import annotations
 from repro.bounds.lower import treewidth_lower_bound
 from repro.bounds.upper import upper_bound_ordering
 from repro.instances.dimacs_like import grid_graph
-from repro.search.astar_tw import astar_treewidth
+from repro.search import astar_treewidth
 
 from workloads import SEARCH_TIME_LIMIT, Row, fmt_result, print_table
 

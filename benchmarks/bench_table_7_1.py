@@ -13,7 +13,7 @@ from __future__ import annotations
 from repro.genetic.engine import GAParameters
 from repro.genetic.ga_ghw import ga_ghw
 from repro.instances.registry import hypergraph_instance
-from repro.search.bb_ghw import branch_and_bound_ghw
+from repro.search import branch_and_bound_ghw
 
 from workloads import (
     GA_ITERATIONS,

@@ -12,7 +12,7 @@ from __future__ import annotations
 from math import ceil
 
 from repro.instances.registry import hypergraph_instance
-from repro.search.bb_ghw import branch_and_bound_ghw
+from repro.search import branch_and_bound_ghw
 
 from workloads import (
     SEARCH_NODE_LIMIT,

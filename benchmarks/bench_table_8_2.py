@@ -13,7 +13,7 @@ from __future__ import annotations
 from repro.bounds.upper import upper_bound_ordering
 from repro.decompositions.elimination import ordering_ghw
 from repro.instances.registry import hypergraph_instance
-from repro.search.bb_ghw import branch_and_bound_ghw
+from repro.search import branch_and_bound_ghw
 
 from workloads import Row, fmt_result, print_table
 

@@ -9,8 +9,7 @@ expands no more nodes than plain depth-first BB on these instances.
 from __future__ import annotations
 
 from repro.instances.registry import hypergraph_instance
-from repro.search.astar_ghw import astar_ghw
-from repro.search.bb_ghw import branch_and_bound_ghw
+from repro.search import astar_ghw, branch_and_bound_ghw
 
 from workloads import (
     SEARCH_NODE_LIMIT,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from repro.bounds.ghw_lower import tw_ksc_width
 from repro.instances.registry import hypergraph_instance
-from repro.search.astar_ghw import astar_ghw
+from repro.search import astar_ghw
 
 from workloads import Row, print_table
 

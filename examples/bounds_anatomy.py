@@ -25,8 +25,7 @@ from repro.genetic.engine import GAParameters
 from repro.genetic.ga_tw import ga_treewidth
 from repro.instances.dimacs_like import queen_graph
 from repro.instances.hypergraphs import clique_hypergraph
-from repro.search.astar_ghw import astar_ghw
-from repro.search.astar_tw import astar_treewidth
+from repro.search import astar_ghw, astar_treewidth
 
 
 def treewidth_story() -> None:

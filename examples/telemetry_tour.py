@@ -22,7 +22,7 @@ from repro.genetic.ga_ghw import ga_ghw
 from repro.instances.hypergraphs import grid2d
 from repro.obs.render import render_metrics, render_spans
 from repro.obs.report import RunReport, read_jsonl
-from repro.search.bb_ghw import branch_and_bound_ghw
+from repro.search import branch_and_bound_ghw
 
 
 def main() -> None:

@@ -37,11 +37,13 @@ from repro.genetic.ga_tw import ga_treewidth
 from repro.genetic.saiga import saiga_ghw
 from repro.hypergraphs.graph import Graph, Vertex
 from repro.hypergraphs.hypergraph import Hypergraph
-from repro.search.astar_ghw import astar_ghw
-from repro.search.astar_tw import astar_treewidth
-from repro.search.bb_ghw import branch_and_bound_ghw
-from repro.search.bb_tw import branch_and_bound_treewidth
-from repro.search.common import SearchResult
+from repro.search import (
+    SearchResult,
+    astar_ghw,
+    astar_treewidth,
+    branch_and_bound_ghw,
+    branch_and_bound_treewidth,
+)
 
 
 def _as_graph(instance: Graph | Hypergraph) -> Graph:

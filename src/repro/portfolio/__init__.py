@@ -14,6 +14,7 @@ Entry points: :func:`run_portfolio` / :func:`resume_portfolio`, or the
 
 from repro.portfolio.bus import BoundMessage, BusClient, Incumbent, InlineClient
 from repro.portfolio.checkpoint import (
+    CheckpointMismatchError,
     Checkpointer,
     list_worker_states,
     load_worker_state,
@@ -37,6 +38,7 @@ from repro.portfolio.workers import run_strategy
 __all__ = [
     "BoundMessage",
     "BusClient",
+    "CheckpointMismatchError",
     "Checkpointer",
     "Incumbent",
     "InlineClient",

@@ -2,7 +2,8 @@
 
 Layout of a checkpoint directory::
 
-    manifest.json        race-level metadata: measure, strategy specs
+    manifest.json        race-level metadata: measure, strategy specs,
+                         the instance's content fingerprint
     worker-<name>.json   one resume snapshot per worker, atomically
                          replaced on every (throttled) write
 
@@ -16,6 +17,11 @@ to the exact ``random.Random`` state tuple on load.
 
 Writes are atomic (tmp file + ``os.replace``) so a race killed mid-write
 never leaves a truncated snapshot behind.
+
+Snapshots carry orderings and bounds of one instance only: resuming them
+on any other instance would report that instance's widths. The manifest
+therefore records :func:`instance_fingerprint`, and :func:`check_instance`
+refuses a directory whose fingerprint does not match.
 """
 
 from __future__ import annotations
@@ -23,10 +29,54 @@ from __future__ import annotations
 import json
 import os
 import time
+import zlib
 from pathlib import Path
+
+from repro.hypergraphs.hypergraph import Hypergraph
 
 MANIFEST = "manifest.json"
 _WORKER_PREFIX = "worker-"
+
+
+class CheckpointMismatchError(ValueError):
+    """A checkpoint directory belongs to a different instance."""
+
+
+def instance_fingerprint(instance) -> str:
+    """Content hash of a graph or hypergraph: its sorted vertex and edge
+    reprs. Equal for equal content however the instance was built, and
+    stable across processes and hash seeds.
+
+    The hash is zlib's CRC-32 and Adler-32 side by side: it guards
+    against mix-ups, not tampering, and ``hashlib`` would load OpenSSL
+    (about 3.4 MB resident) into every process that imports the library.
+    """
+    if isinstance(instance, Hypergraph):
+        edges = [
+            repr((name, sorted(map(repr, edge))))
+            for name, edge in instance.edges().items()
+        ]
+    else:
+        edges = [repr(sorted(map(repr, edge))) for edge in instance.edges()]
+    content = [sorted(map(repr, instance.vertices())), sorted(edges)]
+    data = json.dumps(content).encode()
+    return f"{zlib.crc32(data):08x}{zlib.adler32(data):08x}"
+
+
+def check_instance(directory: str | Path, instance) -> None:
+    """Raise :class:`CheckpointMismatchError` unless ``directory``'s
+    manifest was written for ``instance``."""
+    manifest = read_manifest(directory) or {}
+    recorded = manifest.get("fingerprint")
+    if recorded != instance_fingerprint(instance):
+        reason = (
+            "records no instance fingerprint"
+            if recorded is None
+            else f"was written for another instance ({manifest.get('instance')!r})"
+        )
+        raise CheckpointMismatchError(
+            f"checkpoint {str(directory)!r} {reason}; refusing to resume it"
+        )
 
 
 def encode_rng_state(state) -> list:

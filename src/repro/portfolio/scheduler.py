@@ -42,6 +42,8 @@ from repro.portfolio.bus import (
 )
 from repro.portfolio.checkpoint import (
     Checkpointer,
+    check_instance,
+    instance_fingerprint,
     list_worker_states,
     read_manifest,
     revive_vertices,
@@ -98,9 +100,10 @@ def run_portfolio(
     """Race ``spec.strategies`` on ``instance`` and fold their bounds.
 
     With ``resume=True`` (and a ``checkpoint_dir``), worker snapshots
-    from an earlier race seed the incumbent and the resumable solvers'
-    state. Use :func:`resume_portfolio` to also recover the strategy set
-    from the manifest.
+    from an earlier race on the same instance seed the incumbent and the
+    resumable solvers' state; a directory written for another instance
+    raises :class:`CheckpointMismatchError`. Use :func:`resume_portfolio`
+    to also recover the strategy set from the manifest.
     """
     spec = spec.validated()
     incumbent = Incumbent()
@@ -108,6 +111,7 @@ def run_portfolio(
     if resume:
         if not spec.checkpoint_dir:
             raise ValueError("resume needs a checkpoint_dir")
+        check_instance(spec.checkpoint_dir, instance)
         resume_states = {
             worker: revive_vertices(state, instance.vertices())
             for worker, state in list_worker_states(spec.checkpoint_dir).items()
@@ -119,6 +123,7 @@ def run_portfolio(
             {
                 "measure": spec.measure,
                 "instance": spec.instance_name,
+                "fingerprint": instance_fingerprint(instance),
                 "time_limit": spec.time_limit,
                 "mode": spec.mode,
                 "seed": spec.seed,
@@ -140,7 +145,9 @@ def resume_portfolio(
 
     The manifest restores the measure and strategy set; ``time_limit`` /
     ``mode`` override the original settings (a resumed race usually gets
-    a fresh budget).
+    a fresh budget). A directory written for an instance with different
+    content raises :class:`CheckpointMismatchError` before any worker
+    starts.
     """
     manifest = read_manifest(checkpoint_dir)
     if manifest is None:

@@ -29,6 +29,12 @@ from repro.portfolio.bus import BoundMessage, BusClient
 from repro.portfolio.checkpoint import Checkpointer
 from repro.portfolio.results import WorkerResult
 from repro.portfolio.strategies import StrategySpec
+from repro.search import (
+    astar_ghw,
+    astar_treewidth,
+    branch_and_bound_ghw,
+    branch_and_bound_treewidth,
+)
 
 
 def _primal(instance, measure: str):
@@ -81,51 +87,20 @@ def run_strategy(
     prunes against from its first node.
     """
     options = dict(spec.options)
-    if spec.kind == "bb":
-        rng = random.Random(spec.seed)
-        if measure == "tw":
-            from repro.search.bb_tw import branch_and_bound_treewidth
-
-            result = branch_and_bound_treewidth(
-                _primal(instance, measure),
-                time_limit=time_limit,
-                rng=rng,
-                control=control,
-                **options,
+    if spec.kind in ("bb", "astar"):
+        if spec.kind == "bb":
+            solve = (
+                branch_and_bound_treewidth if measure == "tw" else branch_and_bound_ghw
             )
         else:
-            from repro.search.bb_ghw import branch_and_bound_ghw
-
-            result = branch_and_bound_ghw(
-                instance,
-                time_limit=time_limit,
-                rng=rng,
-                control=control,
-                **options,
-            )
-        return _from_search(spec, result)
-    if spec.kind == "astar":
-        rng = random.Random(spec.seed)
-        if measure == "tw":
-            from repro.search.astar_tw import astar_treewidth
-
-            result = astar_treewidth(
-                _primal(instance, measure),
-                time_limit=time_limit,
-                rng=rng,
-                control=control,
-                **options,
-            )
-        else:
-            from repro.search.astar_ghw import astar_ghw
-
-            result = astar_ghw(
-                instance,
-                time_limit=time_limit,
-                rng=rng,
-                control=control,
-                **options,
-            )
+            solve = astar_treewidth if measure == "tw" else astar_ghw
+        result = solve(
+            _primal(instance, measure),
+            time_limit=time_limit,
+            rng=random.Random(spec.seed),
+            control=control,
+            **options,
+        )
         return _from_search(spec, result)
     if spec.kind == "ga":
         from repro.genetic.engine import GAParameters

@@ -95,8 +95,8 @@ def treewidth_by_components(
     """Run a treewidth ``solver`` per connected component.
 
     ``solver`` is one of the exact algorithms
-    (:func:`repro.search.astar_tw.astar_treewidth` or
-    :func:`repro.search.bb_tw.branch_and_bound_treewidth`); the node
+    (:func:`repro.search.astar_treewidth` or
+    :func:`repro.search.branch_and_bound_treewidth`); the node
     budget is shared across components, largest component first so the
     hard part gets the freshest budget.
     """

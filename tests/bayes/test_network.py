@@ -10,7 +10,7 @@ from repro.bayes.network import (
     naive_bayes_network,
     sprinkler_network,
 )
-from repro.search.astar_tw import astar_treewidth
+from repro.search import astar_treewidth
 
 
 class TestStructure:

@@ -17,7 +17,7 @@ from repro.instances.hypergraphs import (
     grid2d,
     random_csp_hypergraph,
 )
-from repro.search.bb_ghw import branch_and_bound_ghw
+from repro.search import branch_and_bound_ghw
 
 
 class TestValidator:

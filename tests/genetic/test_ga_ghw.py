@@ -5,7 +5,7 @@ from repro.genetic.engine import GAParameters
 from repro.genetic.ga_ghw import ga_ghw, ga_ghw_upper_bound, make_ghw_evaluator
 from repro.hypergraphs.hypergraph import Hypergraph
 from repro.instances.hypergraphs import adder, clique_hypergraph, grid2d
-from repro.search.bb_ghw import branch_and_bound_ghw
+from repro.search import branch_and_bound_ghw
 
 FAST = GAParameters(population_size=20, max_iterations=30)
 

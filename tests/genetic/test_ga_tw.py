@@ -5,7 +5,7 @@ from repro.genetic.engine import GAParameters
 from repro.genetic.ga_tw import ga_treewidth, ga_treewidth_upper_bound
 from repro.hypergraphs.graph import Graph, cycle_graph, path_graph
 from repro.instances.dimacs_like import grid_graph, queen_graph
-from repro.search.astar_tw import astar_treewidth
+from repro.search import astar_treewidth
 
 FAST = GAParameters(population_size=20, max_iterations=30)
 

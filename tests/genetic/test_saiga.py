@@ -5,7 +5,7 @@ import random
 from repro.genetic.saiga import ParameterVector, saiga_ghw
 from repro.hypergraphs.hypergraph import Hypergraph
 from repro.instances.hypergraphs import adder, clique_hypergraph
-from repro.search.bb_ghw import branch_and_bound_ghw
+from repro.search import branch_and_bound_ghw
 
 
 class TestParameterVector:

@@ -16,7 +16,7 @@ from repro.hypergraphs.graph import (
     path_graph,
 )
 from repro.instances.dimacs_like import random_gnp
-from repro.search.astar_tw import astar_treewidth
+from repro.search import astar_treewidth
 
 
 def clique_chain(cliques: int) -> Graph:

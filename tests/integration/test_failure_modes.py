@@ -16,8 +16,7 @@ from repro.decompositions.tree_decomposition import DecompositionError
 from repro.hypergraphs.hypergraph import Hypergraph
 from repro.instances.dimacs_like import queen_graph
 from repro.instances.hypergraphs import adder
-from repro.search.astar_tw import astar_treewidth
-from repro.search.bb_ghw import branch_and_bound_ghw
+from repro.search import astar_treewidth, branch_and_bound_ghw
 
 
 class TestMismatchedInputs:

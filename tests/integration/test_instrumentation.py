@@ -15,8 +15,7 @@ from repro.experiments.runner import ExperimentSpec, run_experiment
 from repro.instances.dimacs_like import queen_graph
 from repro.instances.hypergraphs import grid2d
 from repro.obs.report import read_jsonl, validate_report
-from repro.search.bb_ghw import branch_and_bound_ghw
-from repro.search.bb_tw import branch_and_bound_treewidth
+from repro.search import branch_and_bound_ghw, branch_and_bound_treewidth
 from repro.search.components import treewidth_by_components
 
 

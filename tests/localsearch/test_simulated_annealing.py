@@ -12,7 +12,7 @@ from repro.localsearch.simulated_annealing import (
     sa_treewidth,
     simulated_annealing,
 )
-from repro.search.astar_tw import astar_treewidth
+from repro.search import astar_treewidth
 
 FAST = AnnealingParameters(
     initial_temperature=2.0, cooling_rate=0.9, steps_per_temperature=15

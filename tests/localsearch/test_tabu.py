@@ -12,7 +12,7 @@ from repro.localsearch.tabu import (
     tabu_search,
     tabu_treewidth,
 )
-from repro.search.astar_tw import astar_treewidth
+from repro.search import astar_treewidth
 
 FAST = TabuParameters(iterations=40, neighbourhood_sample=20)
 

@@ -12,8 +12,7 @@ from repro.genetic.saiga import saiga_ghw
 from repro.localsearch.simulated_annealing import sa_ghw
 from repro.localsearch.tabu import tabu_ghw
 from repro.obs.control import LocalControl
-from repro.search.bb_tw import branch_and_bound_treewidth
-from repro.search.astar_tw import astar_treewidth
+from repro.search import astar_treewidth, branch_and_bound_treewidth
 
 
 class TestHeuristicHooks:

@@ -27,10 +27,12 @@ from repro.genetic.mutation import MUTATION_OPERATORS
 from repro.hypergraphs.elimination_graph import EliminationGraph
 from repro.hypergraphs.graph import Graph
 from repro.hypergraphs.hypergraph import Hypergraph
-from repro.search.astar_ghw import astar_ghw
-from repro.search.astar_tw import astar_treewidth
-from repro.search.bb_ghw import branch_and_bound_ghw
-from repro.search.bb_tw import branch_and_bound_treewidth
+from repro.search import (
+    astar_ghw,
+    astar_treewidth,
+    branch_and_bound_ghw,
+    branch_and_bound_treewidth,
+)
 from repro.setcover.exact import exact_cover_size
 from repro.setcover.greedy import greedy_set_cover
 

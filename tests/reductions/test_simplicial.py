@@ -7,7 +7,7 @@ from repro.reductions.simplicial import (
     find_strongly_almost_simplicial,
     simplicial_preprocess,
 )
-from repro.search.astar_tw import astar_treewidth
+from repro.search import astar_treewidth
 
 
 class TestFindSimplicial:

@@ -14,8 +14,7 @@ from repro.instances.hypergraphs import (
     grid2d,
     random_csp_hypergraph,
 )
-from repro.search.astar_ghw import astar_ghw
-from repro.search.bb_ghw import branch_and_bound_ghw
+from repro.search import astar_ghw, branch_and_bound_ghw
 
 
 class TestKnownWidths:

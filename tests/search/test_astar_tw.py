@@ -18,7 +18,7 @@ from repro.instances.dimacs_like import (
     queen_graph,
     random_gnp,
 )
-from repro.search.astar_tw import astar_treewidth
+from repro.search import astar_treewidth
 
 
 class TestKnownWidths:

@@ -8,8 +8,7 @@ import pytest
 from repro.decompositions.elimination import ordering_width
 from repro.hypergraphs.graph import Graph, complete_graph, cycle_graph, path_graph
 from repro.instances.dimacs_like import grid_graph, mycielski_graph, queen_graph, random_gnp
-from repro.search.astar_tw import astar_treewidth
-from repro.search.bb_tw import branch_and_bound_treewidth
+from repro.search import astar_treewidth, branch_and_bound_treewidth
 
 
 class TestKnownWidths:

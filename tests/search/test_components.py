@@ -6,9 +6,7 @@ from repro.decompositions.elimination import ordering_ghw, ordering_width
 from repro.hypergraphs.graph import Graph, complete_graph, cycle_graph
 from repro.hypergraphs.hypergraph import Hypergraph
 from repro.instances.dimacs_like import random_gnp
-from repro.search.astar_ghw import astar_ghw
-from repro.search.astar_tw import astar_treewidth
-from repro.search.bb_tw import branch_and_bound_treewidth
+from repro.search import astar_ghw, astar_treewidth, branch_and_bound_treewidth
 from repro.search.components import ghw_by_components, treewidth_by_components
 
 

@@ -75,7 +75,7 @@ class TestFigure2_6_and_2_7:
         assert decomposition.width() == 2
 
     def test_figure_2_7_ghd_width_2_is_optimal(self, example5):
-        from repro.search.bb_ghw import branch_and_bound_ghw
+        from repro.search import branch_and_bound_ghw
 
         result = branch_and_bound_ghw(example5)
         assert result.optimal and result.value == 2
@@ -179,7 +179,7 @@ class TestExample9:
 
     def test_bounded_search_matches_unbounded(self):
         from repro.instances.dimacs_like import random_gnp
-        from repro.search.bb_tw import branch_and_bound_treewidth
+        from repro.search import branch_and_bound_treewidth
 
         graph = random_gnp(7, 0.5, seed=99)
         pruned = branch_and_bound_treewidth(graph)

@@ -1,6 +1,6 @@
 """Seeded instance generators: deterministic, covered, well-formed."""
 
-from repro.search.bb_ghw import branch_and_bound_ghw
+from repro.search import branch_and_bound_ghw
 from repro.verify.generators import (
     FAMILIES,
     generate_instance,
