@@ -86,12 +86,18 @@ def tw_ksc_width_remaining(
     )
     if not vertices:
         return 0
-    restricted = hypergraph.restrict(vertices)
-    if restricted.num_edges() == 0:
+    # The k-set-cover bound reads only the restricted edges' sizes.
+    restricted = {
+        name: part
+        for name, edge in hypergraph.edges().items()
+        if (part := edge & vertices)
+    }
+    # Checked before the tw bound, which draws from ``rng``.
+    if not restricted:
         return 0
     tw_bound = treewidth_lower_bound(
         remaining_graph, methods=tw_methods, rng=rng
     )
     k = tw_bound + 1
-    bound = k_set_cover_lower_bound(k, restricted.edges())
+    bound = k_set_cover_lower_bound(k, restricted)
     return max(1, bound)

@@ -24,18 +24,27 @@ heuristic").
 from __future__ import annotations
 
 import random
+from itertools import compress
 
 from repro.hypergraphs.graph import Graph, Vertex
 
+# The bounds work on a private copy of the graph, reading its adjacency
+# dict directly. Their tie-breaks draw from ``rng`` over candidate lists
+# in dict order (min-degree vertex) and in the iteration order of a copy
+# of the neighbour set (partner); both orders, hence the draws and the
+# searches' node counts, depend on every add and discard happening in
+# the order Graph.contract and Graph.remove_vertex do them.
+
 
 def _min_degree_vertex(
-    graph: Graph, rng: random.Random | None
-) -> Vertex:
-    lowest = min(graph.degree(v) for v in graph)
-    candidates = [v for v in graph if graph.degree(v) == lowest]
+    adj: dict[Vertex, set[Vertex]], rng: random.Random | None
+) -> tuple[Vertex, int]:
+    """A minimum-degree vertex (ties by ``rng`` in dict order) and its degree."""
+    lowest = min(map(len, adj.values()))
+    candidates = list(compress(adj, map(lowest.__eq__, map(len, adj.values()))))
     if rng is None:
-        return min(candidates, key=repr)
-    return rng.choice(candidates)
+        return min(candidates, key=repr), lowest
+    return rng.choice(candidates), lowest
 
 
 def _contract_into_min_neighbour(
@@ -46,12 +55,16 @@ def _contract_into_min_neighbour(
     Isolated vertices are simply removed (there is no edge to contract;
     removing them never increases any degree-based bound).
     """
-    neighbours = graph.neighbours(vertex)
+    adj = graph.adjacency()
+    # Partner candidates follow a fresh copy's iteration order, which can
+    # differ from the live set's (a copy drops the deleted slots).
+    neighbours = set(adj[vertex])
     if not neighbours:
         graph.remove_vertex(vertex)
         return
-    lowest = min(graph.degree(u) for u in neighbours)
-    candidates = [u for u in neighbours if graph.degree(u) == lowest]
+    degrees = list(map(len, map(adj.__getitem__, neighbours)))
+    lowest = min(degrees)
+    candidates = list(compress(neighbours, map(lowest.__eq__, degrees)))
     if rng is None:
         partner = min(candidates, key=repr)
     else:
@@ -62,10 +75,11 @@ def _contract_into_min_neighbour(
 def degeneracy(graph: Graph, rng: random.Random | None = None) -> int:
     """MMD: the degeneracy of the graph, a treewidth lower bound."""
     working = graph.copy()
+    adj = working.adjacency()
     bound = 0
-    while working.num_vertices() > 0:
-        vertex = _min_degree_vertex(working, rng)
-        bound = max(bound, working.degree(vertex))
+    while adj:
+        vertex, degree = _min_degree_vertex(adj, rng)
+        bound = max(bound, degree)
         working.remove_vertex(vertex)
     return bound
 
@@ -73,10 +87,11 @@ def degeneracy(graph: Graph, rng: random.Random | None = None) -> int:
 def minor_min_width(graph: Graph, rng: random.Random | None = None) -> int:
     """Figure 4.7: the minor-min-width treewidth lower bound."""
     working = graph.copy()
+    adj = working.adjacency()
     bound = 0
-    while working.num_vertices() > 0:
-        vertex = _min_degree_vertex(working, rng)
-        bound = max(bound, working.degree(vertex))
+    while adj:
+        vertex, degree = _min_degree_vertex(adj, rng)
+        bound = max(bound, degree)
         _contract_into_min_neighbour(working, vertex, rng)
     return bound
 
@@ -84,33 +99,45 @@ def minor_min_width(graph: Graph, rng: random.Random | None = None) -> int:
 def gamma_r(graph: Graph) -> int:
     """Ramachandramurthi's gamma parameter of ``graph``.
 
-    ``n - 1`` if the graph is complete, else the minimum over vertices
-    ``v`` that are non-adjacent to at least one other vertex of the
-    degree of ``v``'s cheapest non-adjacent "partner" — equivalently,
-    min over non-adjacent pairs of the larger degree.
+    ``n - 1`` if the graph is complete, else the minimum over non-adjacent
+    pairs of the larger degree. Computed by a scan in ascending degree
+    order (Figure 4.8 step b/c): the first vertex not adjacent to all its
+    predecessors has exactly that degree, whatever the order among equal
+    degrees.
     """
-    vertices = sorted(graph.vertices(), key=lambda v: (graph.degree(v), repr(v)))
-    n = len(vertices)
+    adj = graph.adjacency()
+    n = len(adj)
     if n == 0:
         return 0
-    # First vertex (in ascending degree order) not adjacent to all its
-    # predecessors: gamma equals its degree (Figure 4.8 step b/c).
-    for index, vertex in enumerate(vertices):
-        predecessors = vertices[:index]
-        if any(not graph.has_edge(vertex, other) for other in predecessors):
-            return graph.degree(vertex)
+    neighbour_sets = list(adj.values())
+    degrees = list(map(len, neighbour_sets))
+    if min(degrees) == n - 1:
+        return n - 1
+    vertices = list(adj)
+    predecessors: set[Vertex] = set()
+    for index in sorted(range(n), key=degrees.__getitem__):
+        if not predecessors.issubset(neighbour_sets[index]):
+            return degrees[index]
+        predecessors.add(vertices[index])
     return n - 1
 
 
 def minor_gamma_r(graph: Graph, rng: random.Random | None = None) -> int:
-    """Figure 4.8: maximise gamma_R over minimum-degree contractions."""
+    """Figure 4.8: maximise gamma_R over minimum-degree contractions.
+
+    gamma_R of an ``n``-vertex minor is at most ``n - 1``, so it is only
+    evaluated while that could raise the bound; the contractions (and
+    their ``rng`` draws) all still run.
+    """
     working = graph.copy()
+    adj = working.adjacency()
     bound = 0
-    while working.num_vertices() > 0:
-        bound = max(bound, gamma_r(working))
-        if working.num_vertices() == 1:
+    while adj:
+        if len(adj) - 1 > bound:
+            bound = max(bound, gamma_r(working))
+        if len(adj) == 1:
             break
-        vertex = _min_degree_vertex(working, rng)
+        vertex, _ = _min_degree_vertex(adj, rng)
         _contract_into_min_neighbour(working, vertex, rng)
     return bound
 

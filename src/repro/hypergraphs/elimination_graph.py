@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
+from itertools import filterfalse
 
 from repro.hypergraphs.graph import Graph, Vertex
 
@@ -41,6 +42,9 @@ class EliminationGraph:
 
     def __init__(self, graph: Graph) -> None:
         self._graph = graph.copy()
+        # The live adjacency dict: eliminate/restore run on raw set
+        # operations, in the same order as the Graph methods would.
+        self._adj = self._graph.adjacency()
         self._stack: list[_EliminationRecord] = []
 
     # ------------------------------------------------------------------
@@ -54,14 +58,17 @@ class EliminationGraph:
         bag produced by this elimination step is that set plus ``vertex``
         itself.
         """
-        neighbours = self._graph.neighbours(vertex)
+        adj = self._adj
+        neighbours = set(adj[vertex])
         record = _EliminationRecord(vertex=vertex, neighbours=neighbours)
+        fill_edges = record.fill_edges
         neighbour_list = list(neighbours)
         for i, u in enumerate(neighbour_list):
-            for v in neighbour_list[i + 1 :]:
-                if not self._graph.has_edge(u, v):
-                    self._graph.add_edge(u, v)
-                    record.fill_edges.append((u, v))
+            linked = adj[u]
+            for v in filterfalse(linked.__contains__, neighbour_list[i + 1 :]):
+                linked.add(v)
+                adj[v].add(u)
+                fill_edges.append((u, v))
         self._graph.remove_vertex(vertex)
         self._stack.append(record)
         return neighbours
@@ -71,12 +78,16 @@ class EliminationGraph:
         if not self._stack:
             raise IndexError("no elimination to restore")
         record = self._stack.pop()
+        adj = self._adj
         for u, v in record.fill_edges:
-            self._graph.remove_edge(u, v)
-        self._graph.add_vertex(record.vertex)
+            adj[u].remove(v)
+            adj[v].remove(u)
+        vertex = record.vertex
+        linked = adj.setdefault(vertex, set())
         for neighbour in record.neighbours:
-            self._graph.add_edge(record.vertex, neighbour)
-        return record.vertex
+            linked.add(neighbour)
+            adj[neighbour].add(vertex)
+        return vertex
 
     def restore_all(self) -> None:
         """Undo every elimination, returning to the original graph."""

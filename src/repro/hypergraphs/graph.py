@@ -114,12 +114,20 @@ class Graph:
         ``u``; ``v`` disappears. This is the minor operation used by the
         lower-bound heuristics of Section 4.4.2.
         """
-        if v not in self._adj[u]:
+        adj = self._adj
+        merged = adj[u]
+        if v not in merged:
             raise KeyError(f"cannot contract non-edge {{{u!r}, {v!r}}}")
-        for neighbour in self._adj[v]:
+        # Per set, the adds and discards of add_edge(u, x) for each x in
+        # N(v) followed by remove_vertex(v), in that order: the lower
+        # bounds' tie-breaks follow the resulting set iteration orders.
+        for neighbour in adj.pop(v):
             if neighbour != u:
-                self.add_edge(u, neighbour)
-        self.remove_vertex(v)
+                merged.add(neighbour)
+                linked = adj[neighbour]
+                linked.add(u)
+                linked.discard(v)
+        merged.discard(v)
 
     # ------------------------------------------------------------------
     # queries
@@ -141,6 +149,17 @@ class Graph:
         """A fresh copy of the neighbourhood of ``vertex``."""
         return set(self._adj[vertex])
 
+    def adjacency(self) -> dict[Vertex, set[Vertex]]:
+        """The live ``vertex -> neighbour set`` dict, not a copy.
+
+        For the search's inner loops (lower bounds, reductions, the
+        elimination undo stack), which need C-level set operations
+        instead of one method call per adjacency test. Read-only unless
+        the caller owns the graph; a mutation must keep it symmetric and
+        loop-free.
+        """
+        return self._adj
+
     def degree(self, vertex: Vertex) -> int:
         return len(self._adj[vertex])
 
@@ -157,28 +176,45 @@ class Graph:
         return sum(len(neighbours) for neighbours in self._adj.values()) // 2
 
     def is_clique(self, vertices: Iterable[Vertex]) -> bool:
-        """``True`` iff ``vertices`` are pairwise adjacent."""
+        """``True`` iff ``vertices`` are pairwise adjacent.
+
+        An iterable naming some vertex twice is never a clique (the vertex
+        would have to be adjacent to itself); fewer than two entries
+        always are, present in the graph or not.
+        """
         vertex_list = list(vertices)
-        return all(
-            self.has_edge(u, v) for u, v in combinations(vertex_list, 2)
-        )
+        if len(vertex_list) < 2:
+            return True
+        members = set(vertex_list)
+        if len(members) < len(vertex_list) or not self._adj.keys() >= members:
+            return False
+        return _is_clique(self._adj, members)
 
     def is_simplicial(self, vertex: Vertex) -> bool:
         """A vertex is simplicial if its neighbourhood induces a clique."""
-        return self.is_clique(self._adj[vertex])
+        return _is_clique(self._adj, self._adj[vertex])
 
     def is_almost_simplicial(self, vertex: Vertex) -> bool:
         """All but (at most) one neighbour induce a clique (Definition 23).
 
-        A simplicial vertex is in particular almost simplicial.
+        A simplicial vertex is in particular almost simplicial. One pass
+        over the neighbourhood: every non-edge inside it must touch one
+        common neighbour ``w``, the one left out of the clique.
         """
-        neighbours = list(self._adj[vertex])
-        if self.is_clique(neighbours):
-            return True
-        return any(
-            self.is_clique(neighbours[:i] + neighbours[i + 1 :])
-            for i in range(len(neighbours))
-        )
+        adj = self._adj
+        neighbours = adj[vertex]
+        common: set[Vertex] | None = None
+        for u in neighbours:
+            missing = neighbours - adj[u]
+            if len(missing) == 1:
+                continue  # only u itself: adjacent to every other neighbour
+            missing.discard(u)
+            # Each non-edge {u, x} touches w iff w is u or x is w.
+            touching = {u, *missing} if len(missing) == 1 else {u}
+            common = touching if common is None else common & touching
+            if not common:
+                return False
+        return True
 
     def connected_components(self) -> list[set[Vertex]]:
         """Connected components via iterative DFS."""
@@ -251,6 +287,12 @@ class Graph:
         return (
             f"Graph(|V|={self.num_vertices()}, |E|={self.num_edges()})"
         )
+
+
+def _is_clique(adj: dict[Vertex, set[Vertex]], members: set[Vertex]) -> bool:
+    """Are the distinct graph vertices ``members`` pairwise adjacent?"""
+    others = len(members) - 1
+    return all(len(members & adj[u]) == others for u in members)
 
 
 def complete_graph(n: int) -> Graph:

@@ -21,7 +21,19 @@ does not transfer to cover *numbers*, so BB-ghw/A*-ghw do not use it.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
+from itertools import filterfalse
+
 from repro.hypergraphs.graph import Graph, Vertex, vertex_sort_key
+
+
+def _first(vertices: Iterable[Vertex]) -> Vertex | None:
+    """The least of ``vertices`` under ``vertex_sort_key``, or ``None``.
+
+    Equal keys keep iteration order, exactly like taking the first hit of
+    a stable ``sorted`` scan, without sorting the whole vertex set.
+    """
+    return min(vertices, key=vertex_sort_key, default=None)
 
 
 def find_simplicial(graph: Graph) -> Vertex | None:
@@ -32,10 +44,19 @@ def find_simplicial(graph: Graph) -> Vertex | None:
     python and bitset paths force identical reduction vertices (integer
     vertices order numerically, not lexicographically by ``repr``).
     """
-    for vertex in sorted(graph.vertices(), key=vertex_sort_key):
-        if graph.is_simplicial(vertex):
-            return vertex
-    return None
+    return _first(filter(graph.is_simplicial, graph.vertices()))
+
+
+def _low_degree_almost_simplicial(
+    graph: Graph, lower_bound: int
+) -> Iterator[Vertex]:
+    """Almost simplicial vertices of degree <= ``lower_bound``, lazily."""
+    adj = graph.adjacency()
+    return (
+        vertex
+        for vertex in graph.vertices()
+        if len(adj[vertex]) <= lower_bound and graph.is_almost_simplicial(vertex)
+    )
 
 
 def find_strongly_almost_simplicial(
@@ -47,14 +68,8 @@ def find_strongly_almost_simplicial(
     distinguish the two rules; use :func:`find_reduction_vertex` for the
     combined search the A* algorithms perform.
     """
-    for vertex in sorted(graph.vertices(), key=vertex_sort_key):
-        if graph.degree(vertex) > lower_bound:
-            continue
-        if graph.is_simplicial(vertex):
-            continue
-        if graph.is_almost_simplicial(vertex):
-            return vertex
-    return None
+    candidates = _low_degree_almost_simplicial(graph, lower_bound)
+    return _first(filterfalse(graph.is_simplicial, candidates))
 
 
 def find_reduction_vertex(
@@ -64,14 +79,13 @@ def find_reduction_vertex(
 
     Mirrors the child computation in Algorithm A*-tw (Figure 5.1): a
     simplicial vertex wins, otherwise a strongly almost simplicial vertex
-    (with respect to ``lower_bound``) if permitted.
+    (with respect to ``lower_bound``) if permitted. When no vertex is
+    simplicial the second rule needs no simplicial test of its own.
     """
     simplicial = find_simplicial(graph)
-    if simplicial is not None:
+    if simplicial is not None or not allow_almost_simplicial:
         return simplicial
-    if allow_almost_simplicial:
-        return find_strongly_almost_simplicial(graph, lower_bound)
-    return None
+    return _first(_low_degree_almost_simplicial(graph, lower_bound))
 
 
 def simplicial_preprocess(
