@@ -25,8 +25,7 @@ from repro.genetic.crossover import CrossoverOperator, get_crossover
 from repro.genetic.mutation import MutationOperator, get_mutation
 from repro.genetic.selection import best_individual, tournament_selection
 from repro.hypergraphs.graph import Vertex
-from repro.obs.budget import Budget
-from repro.obs.control import SolverControl
+from repro.obs.control import AnytimeRun, SolverControl
 
 Permutation = list[Vertex]
 Evaluator = Callable[[Sequence[Vertex]], int]
@@ -78,7 +77,7 @@ class GAResult:
     """``repro.obs`` snapshot at run end (empty when uninstrumented)."""
 
 
-def _initial_population(
+def initial_population(
     elements: Sequence[Vertex],
     size: int,
     rng: random.Random,
@@ -92,6 +91,16 @@ def _initial_population(
         rng.shuffle(individual)
         population.append(individual)
     return population
+
+
+def population_evaluator(
+    evaluate: Evaluator, batch_evaluate: PopulationEvaluator | None = None
+) -> PopulationEvaluator:
+    """Whole-population fitness: ``batch_evaluate`` when given, else
+    ``evaluate`` once per individual."""
+    if batch_evaluate is not None:
+        return lambda population: list(batch_evaluate(population))
+    return lambda population: [evaluate(individual) for individual in population]
 
 
 def run_ga(
@@ -134,21 +143,26 @@ def run_ga(
         publishes champion improvements, and offers a resume snapshot
         after every generation.
     resume_state:
-        A snapshot previously offered through ``control.checkpoint`` (with
-        ``rng_state`` already decoded to a ``random.Random`` state tuple);
-        the run continues from that population and generation instead of
-        initialising a fresh one.
+        A snapshot previously offered to ``control`` (with ``rng_state``
+        already decoded to a ``random.Random`` state tuple); the run
+        continues from that population and generation instead of
+        initialising a fresh one. Orderings that do not permute
+        ``elements`` raise :class:`ValueError`.
     """
     parameters = parameters.validated()
-    crossover: CrossoverOperator = get_crossover(parameters.crossover)
-    mutation: MutationOperator = get_mutation(parameters.mutation)
+    evaluate_population = population_evaluator(evaluate, batch_evaluate)
 
-    def evaluate_population(population: list[Permutation]) -> list[int]:
-        if batch_evaluate is not None:
-            return list(batch_evaluate(population))
-        return [evaluate(individual) for individual in population]
+    def fields() -> dict:
+        return {
+            "population": [list(ind) for ind in population],
+            "fitnesses": list(fitnesses),
+            "generation": generation,
+        }
 
-    budget = Budget(time_limit=time_limit)
+    run = AnytimeRun(
+        "ga", elements, rng, fields,
+        time_limit=time_limit, target=target, control=control,
+    )
     ins = obs.current()
     metrics = ins.metrics
     generations_total = metrics.counter("generations", solver="ga")
@@ -163,106 +177,70 @@ def run_ga(
     ):
         if resume_state is None:
             with ins.tracer.span("init_population"):
-                population = _initial_population(
+                population = initial_population(
                     elements, parameters.population_size, rng, seeds
                 )
                 fitnesses = evaluate_population(population)
-            evaluations = len(population)
-            evaluations_total.inc(evaluations)
-            champion, champion_fitness = best_individual(population, fitnesses)
-            history = [champion_fitness]
+            evaluations_total.inc(len(population))
             generation = 0
+            champion, champion_fitness = best_individual(population, fitnesses)
+            run.start(champion_fitness, champion, evaluations=len(population))
         else:
-            if resume_state.get("rng_state") is not None:
-                rng.setstate(resume_state["rng_state"])
-            population = [list(ind) for ind in resume_state["population"]]
+            population = [run.ordering(ind) for ind in resume_state["population"]]
             fitnesses = list(resume_state["fitnesses"])
-            champion = list(resume_state["best_individual"])
-            champion_fitness = int(resume_state["best_fitness"])
-            history = list(resume_state.get("history", [champion_fitness]))
             generation = int(resume_state.get("generation", 0))
-            evaluations = int(resume_state.get("evaluations", len(population)))
-        if control is not None:
-            control.publish_upper(champion_fitness, champion)
-
-        def snapshot() -> dict:
-            return {
-                "best_fitness": champion_fitness,
-                "best_individual": list(champion),
-                "population": [list(ind) for ind in population],
-                "fitnesses": list(fitnesses),
-                "history": list(history),
-                "generation": generation,
-                "evaluations": evaluations,
-                "rng_state": rng.getstate(),
-            }
-
-        if control is not None:
-            control.checkpoint(snapshot())
+            run.resume(resume_state, evaluations=len(population))
         with ins.tracer.span("evolve"):
-            while generation < parameters.max_iterations:
-                if target is not None and champion_fitness <= target:
-                    break
-                if budget.exhausted():
-                    break
-                if control is not None:
-                    if control.should_stop():
-                        break
-                    shared_lb = control.shared_lower_bound()
-                    if shared_lb is not None and champion_fitness <= shared_lb:
-                        break
+            while generation < parameters.max_iterations and not run.stop():
                 generation += 1
-                generation_started = budget.elapsed()
-
-                population = tournament_selection(
-                    population,
-                    fitnesses,
-                    parameters.group_size,
-                    parameters.population_size,
-                    rng,
-                )
-
-                # Recombination: pair up a p_c fraction of the population.
-                pair_count = int(parameters.crossover_rate * len(population)) // 2
-                if pair_count:
-                    indices = rng.sample(range(len(population)), 2 * pair_count)
-                    for k in range(pair_count):
-                        i, j = indices[2 * k], indices[2 * k + 1]
-                        child1, child2 = crossover(population[i], population[j], rng)
-                        population[i], population[j] = child1, child2
-
-                # Mutation: each individual mutates with probability p_m.
-                for i in range(len(population)):
-                    if rng.random() < parameters.mutation_rate:
-                        population[i] = mutation(population[i], rng)
-
+                generation_started = run.budget.elapsed()
+                population = breed(population, fitnesses, parameters, rng)
                 fitnesses = evaluate_population(population)
-                evaluations += len(population)
+                run.evaluations += len(population)
                 generations_total.inc()
                 evaluations_total.inc(len(population))
                 if metrics.enabled:
                     generation_seconds.observe(
-                        budget.elapsed() - generation_started
+                        run.budget.elapsed() - generation_started
                     )
                 generation_best, generation_fitness = best_individual(
                     population, fitnesses
                 )
-                if generation_fitness < champion_fitness:
-                    champion, champion_fitness = generation_best, generation_fitness
-                    if control is not None:
-                        control.publish_upper(champion_fitness, champion)
-                history.append(champion_fitness)
-                if control is not None:
-                    control.checkpoint(snapshot())
+                if generation_fitness < run.best_fitness:
+                    run.improved(generation_fitness, generation_best)
+                run.history.append(run.best_fitness)
+                run.checkpoint()
 
-    if metrics.enabled:
-        metrics.gauge("best_fitness", solver="ga").set(champion_fitness)
-    return GAResult(
-        best_fitness=champion_fitness,
-        best_individual=champion,
-        generations=generation,
-        evaluations=evaluations,
-        history=history,
-        elapsed=budget.elapsed(),
-        metrics=metrics.snapshot() if metrics.enabled else {},
+    return GAResult(generations=generation, **run.finish())
+
+
+def breed(
+    population: list[Permutation],
+    fitnesses: Sequence[int],
+    parameters: GAParameters,
+    rng: random.Random,
+) -> list[Permutation]:
+    """One Figure 6.1 generation before evaluation: tournament selection,
+    then crossover of a ``p_c`` fraction of the population in random
+    pairs, then per-individual mutation with probability ``p_m``."""
+    crossover: CrossoverOperator = get_crossover(parameters.crossover)
+    mutation: MutationOperator = get_mutation(parameters.mutation)
+    population = tournament_selection(
+        population,
+        fitnesses,
+        parameters.group_size,
+        parameters.population_size,
+        rng,
     )
+    pair_count = int(parameters.crossover_rate * len(population)) // 2
+    if pair_count:
+        indices = rng.sample(range(len(population)), 2 * pair_count)
+        for k in range(pair_count):
+            i, j = indices[2 * k], indices[2 * k + 1]
+            population[i], population[j] = crossover(
+                population[i], population[j], rng
+            )
+    for i in range(len(population)):
+        if rng.random() < parameters.mutation_rate:
+            population[i] = mutation(population[i], rng)
+    return population

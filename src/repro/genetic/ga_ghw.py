@@ -17,6 +17,7 @@ from repro.decompositions.elimination import elimination_bags
 from repro.genetic.engine import GAParameters, GAResult, run_ga
 from repro.hypergraphs.graph import Vertex
 from repro.hypergraphs.hypergraph import Hypergraph
+from repro.kernels.evaluators import make_evaluators
 from repro.obs.control import SolverControl
 from repro.setcover.greedy import greedy_set_cover
 
@@ -88,8 +89,8 @@ def ga_ghw(
             min_degree_ordering(primal, rng),
         ]
 
-    evaluate, batch_evaluate, closer = _make_evaluators(
-        hypergraph, backend, jobs, rng
+    evaluate, batch_evaluate, close = make_evaluators(
+        hypergraph, "ghw", backend=backend, jobs=jobs, rng=rng
     )
     try:
         return run_ga(
@@ -105,32 +106,7 @@ def ga_ghw(
             resume_state=resume_state,
         )
     finally:
-        if closer is not None:
-            closer()
-
-
-def _make_evaluators(
-    hypergraph: Hypergraph,
-    backend: str,
-    jobs: int,
-    rng: random.Random,
-):
-    """(per-individual, per-population, close) evaluators for a backend."""
-    from repro.kernels.evaluators import check_backend
-
-    check_backend(backend)
-    if jobs > 1:
-        from repro.kernels.parallel import ParallelEvaluator
-
-        evaluator = ParallelEvaluator(
-            hypergraph, measure="ghw", jobs=jobs, backend=backend
-        )
-        return evaluator, evaluator.evaluate_population, evaluator.close
-    if backend == "bitset":
-        from repro.kernels.evaluators import make_bit_ghw_evaluator
-
-        return make_bit_ghw_evaluator(hypergraph), None, None
-    return make_ghw_evaluator(hypergraph, rng=rng), None, None
+        close()
 
 
 def ga_ghw_upper_bound(

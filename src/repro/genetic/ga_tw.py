@@ -16,6 +16,7 @@ from repro.bounds.upper import min_degree_ordering, min_fill_ordering
 from repro.genetic.engine import GAParameters, GAResult, run_ga
 from repro.hypergraphs.graph import Graph, Vertex
 from repro.hypergraphs.hypergraph import Hypergraph
+from repro.kernels.evaluators import make_evaluators
 from repro.obs.control import SolverControl
 
 
@@ -74,21 +75,9 @@ def ga_treewidth(
     if seed_heuristics:
         seeds = [min_fill_ordering(graph, rng), min_degree_ordering(graph, rng)]
 
-    from repro.kernels.evaluators import make_tw_evaluator
-
-    batch_evaluate = None
-    closer = None
-    if jobs > 1:
-        from repro.kernels.parallel import ParallelEvaluator
-
-        evaluator = ParallelEvaluator(
-            graph, measure="tw", jobs=jobs, backend=backend
-        )
-        evaluate = evaluator
-        batch_evaluate = evaluator.evaluate_population
-        closer = evaluator.close
-    else:
-        evaluate = make_tw_evaluator(graph, backend=backend)
+    evaluate, batch_evaluate, close = make_evaluators(
+        graph, "tw", backend=backend, jobs=jobs
+    )
     try:
         return run_ga(
             vertices,
@@ -103,8 +92,7 @@ def ga_treewidth(
             resume_state=resume_state,
         )
     finally:
-        if closer is not None:
-            closer()
+        close()
 
 
 def ga_treewidth_upper_bound(

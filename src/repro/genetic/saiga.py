@@ -25,14 +25,20 @@ import random
 from dataclasses import dataclass, field
 
 from repro import obs
-from repro.genetic.crossover import CROSSOVER_OPERATORS, get_crossover
-from repro.genetic.engine import GAParameters, GAResult
-from repro.genetic.mutation import MUTATION_OPERATORS, get_mutation
-from repro.genetic.selection import best_individual, tournament_selection
+from repro.genetic.crossover import CROSSOVER_OPERATORS
+from repro.genetic.engine import (
+    GAParameters,
+    GAResult,
+    breed,
+    initial_population,
+    population_evaluator,
+)
+from repro.genetic.mutation import MUTATION_OPERATORS
+from repro.genetic.selection import best_individual
 from repro.hypergraphs.graph import Vertex
 from repro.hypergraphs.hypergraph import Hypergraph
-from repro.obs.budget import Budget
-from repro.obs.control import SolverControl
+from repro.kernels.evaluators import make_evaluators
+from repro.obs.control import AnytimeRun, SolverControl
 
 Permutation = list[Vertex]
 
@@ -177,13 +183,11 @@ def saiga_ghw(
     process pool. Defaults reproduce the seed behaviour exactly.
     """
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    budget = Budget(time_limit=time_limit)
-    ins = obs.current()
-    metrics = ins.metrics
-    epochs_total = metrics.counter("epochs", solver="saiga")
-    generations_total = metrics.counter("generations", solver="saiga")
-    evaluations_total = metrics.counter("evaluations", solver="saiga")
-    migrations_total = metrics.counter("migrations", solver="saiga")
+    metrics = obs.current().metrics
+    counters = [
+        metrics.counter(name, solver="saiga")
+        for name in ("epochs", "generations", "evaluations", "migrations")
+    ]
     vertices = sorted(hypergraph.vertices(), key=repr)
 
     if len(vertices) <= 1 or hypergraph.num_edges() == 0:
@@ -196,85 +200,79 @@ def saiga_ghw(
             history=[fitness],
         )
 
-    from repro.genetic.ga_ghw import _make_evaluators
-
-    evaluate, batch_evaluate, closer = _make_evaluators(
-        hypergraph, backend, jobs, rng
+    evaluate, batch_evaluate, close = make_evaluators(
+        hypergraph, "ghw", backend=backend, jobs=jobs, rng=rng
     )
-
-    def evaluate_population(population: list[Permutation]) -> list[int]:
-        if batch_evaluate is not None:
-            return list(batch_evaluate(population))
-        return [evaluate(individual) for individual in population]
-
-    def random_population() -> list[Permutation]:
-        population = []
-        for _ in range(island_population):
-            individual = vertices[:]
-            rng.shuffle(individual)
-            population.append(individual)
-        return population
-
     try:
         return _saiga_loop(
-            hypergraph=hypergraph,
-            islands=islands,
+            vertices=vertices,
+            islands=max(1, islands),
             island_population=island_population,
             epochs=epochs,
             epoch_generations=epoch_generations,
             rng=rng,
-            budget=budget,
+            time_limit=time_limit,
             target=target,
-            ins=ins,
-            metrics=metrics,
-            counters=(
-                epochs_total,
-                generations_total,
-                evaluations_total,
-                migrations_total,
-            ),
-            evaluate_population=evaluate_population,
-            random_population=random_population,
+            counters=counters,
+            evaluate_population=population_evaluator(evaluate, batch_evaluate),
             control=control,
             resume_state=resume_state,
         )
     finally:
-        if closer is not None:
-            closer()
+        close()
 
 
 def _saiga_loop(
     *,
-    hypergraph: Hypergraph,
+    vertices: list[Vertex],
     islands: int,
     island_population: int,
     epochs: int,
     epoch_generations: int,
     rng: random.Random,
-    budget: Budget,
+    time_limit: float | None,
     target: int | None,
-    ins,
-    metrics,
-    counters,
+    counters: list,
     evaluate_population,
-    random_population,
-    control: SolverControl | None = None,
-    resume_state: dict | None = None,
+    control: SolverControl | None,
+    resume_state: dict | None,
 ) -> SAIGAResult:
     """The Figure 7.3 epoch/migration loop, split out of :func:`saiga_ghw`
     so the evaluator's ``try/finally`` cleanup wraps the whole run."""
+
+    def fields() -> dict:
+        return {
+            "islands": [
+                {
+                    "population": [list(ind) for ind in island.population],
+                    "fitnesses": list(island.fitnesses),
+                    "parameters": island.parameters.to_dict(),
+                    "previous_best": island.previous_best,
+                    "improvement": island.improvement,
+                }
+                for island in ring
+            ],
+            "generations": generations,
+            "epoch": epoch,
+        }
+
+    run = AnytimeRun(
+        "saiga", vertices, rng, fields,
+        time_limit=time_limit, target=target, control=control,
+    )
     epochs_total, generations_total, evaluations_total, migrations_total = (
         counters
     )
-    with ins.tracer.span(
-        "saiga", islands=max(1, islands), island_population=island_population
+    tracer = obs.current().tracer
+    with tracer.span(
+        "saiga", islands=islands, island_population=island_population
     ):
         ring: list[_Island] = []
-        evaluations = 0
         if resume_state is None:
-            with ins.tracer.span("init_islands"):
-                for _ in range(max(1, islands)):
-                    population = random_population()
+            evaluations = 0
+            with tracer.span("init_islands"):
+                for _ in range(islands):
+                    population = initial_population(vertices, island_population, rng)
                     fitnesses = evaluate_population(population)
                     evaluations += len(population)
                     ring.append(
@@ -286,119 +284,52 @@ def _saiga_loop(
                         )
                     )
             evaluations_total.inc(evaluations)
-
+            generations = 0
+            epoch = 0
             champion, champion_fitness = best_individual(
                 [ind for island in ring for ind in island.population],
                 [fit for island in ring for fit in island.fitnesses],
             )
-            history = [champion_fitness]
-            generations = 0
-            epoch = 0
+            run.start(champion_fitness, champion, evaluations)
         else:
-            if resume_state.get("rng_state") is not None:
-                rng.setstate(resume_state["rng_state"])
             for saved in resume_state["islands"]:
                 ring.append(
                     _Island(
-                        population=[list(ind) for ind in saved["population"]],
+                        population=[run.ordering(ind) for ind in saved["population"]],
                         fitnesses=list(saved["fitnesses"]),
                         parameters=ParameterVector.from_dict(saved["parameters"]),
                         previous_best=int(saved["previous_best"]),
                         improvement=int(saved.get("improvement", 0)),
                     )
                 )
-            champion = list(resume_state["best_individual"])
-            champion_fitness = int(resume_state["best_fitness"])
-            history = list(resume_state.get("history", [champion_fitness]))
             generations = int(resume_state.get("generations", 0))
-            evaluations = int(resume_state.get("evaluations", 0))
             epoch = int(resume_state.get("epoch", 0))
-        if control is not None:
-            control.publish_upper(champion_fitness, champion)
-
-        def snapshot() -> dict:
-            return {
-                "best_fitness": champion_fitness,
-                "best_individual": list(champion),
-                "islands": [
-                    {
-                        "population": [list(ind) for ind in island.population],
-                        "fitnesses": list(island.fitnesses),
-                        "parameters": island.parameters.to_dict(),
-                        "previous_best": island.previous_best,
-                        "improvement": island.improvement,
-                    }
-                    for island in ring
-                ],
-                "history": list(history),
-                "generations": generations,
-                "evaluations": evaluations,
-                "epoch": epoch,
-                "rng_state": rng.getstate(),
-            }
-
-        if control is not None:
-            control.checkpoint(snapshot())
-        while epoch < epochs:
-            if target is not None and champion_fitness <= target:
-                break
-            if budget.exhausted():
-                break
-            if control is not None:
-                if control.should_stop():
-                    break
-                shared_lb = control.shared_lower_bound()
-                if shared_lb is not None and champion_fitness <= shared_lb:
-                    break
+            run.resume(resume_state)
+        while epoch < epochs and not run.stop():
             epoch += 1
             epochs_total.inc()
             for island in ring:
-                crossover = get_crossover(island.parameters.crossover)
-                mutate = get_mutation(island.parameters.mutation)
+                parameters = island.parameters.as_ga_parameters(
+                    island_population, epoch_generations
+                )
                 for _generation in range(epoch_generations):
-                    island.population = tournament_selection(
-                        island.population,
-                        island.fitnesses,
-                        island.parameters.group_size,
-                        island_population,
-                        rng,
+                    island.population = breed(
+                        island.population, island.fitnesses, parameters, rng
                     )
-                    pair_count = (
-                        int(island.parameters.crossover_rate * island_population)
-                        // 2
-                    )
-                    if pair_count:
-                        indices = rng.sample(
-                            range(island_population), 2 * pair_count
-                        )
-                        for k in range(pair_count):
-                            i, j = indices[2 * k], indices[2 * k + 1]
-                            child1, child2 = crossover(
-                                island.population[i], island.population[j], rng
-                            )
-                            island.population[i] = child1
-                            island.population[j] = child2
-                    for i in range(island_population):
-                        if rng.random() < island.parameters.mutation_rate:
-                            island.population[i] = mutate(
-                                island.population[i], rng
-                            )
                     island.fitnesses = evaluate_population(island.population)
-                    evaluations += island_population
+                    run.evaluations += island_population
                     evaluations_total.inc(island_population)
                     generations += 1
                     generations_total.inc()
                 epoch_best = min(island.fitnesses)
                 island.improvement = island.previous_best - epoch_best
                 island.previous_best = epoch_best
-                if epoch_best < champion_fitness:
+                if epoch_best < run.best_fitness:
                     champion, champion_fitness = best_individual(
                         island.population, island.fitnesses
                     )
-                    if control is not None:
-                        control.publish_upper(champion_fitness, champion)
-            history.append(champion_fitness)
-
+                    run.improved(champion_fitness, champion)
+            run.history.append(run.best_fitness)
             # Migration: each island's best replaces the next island's worst.
             bests = [
                 best_individual(island.population, island.fitnesses)
@@ -426,18 +357,10 @@ def _saiga_loop(
                 new_parameters.append(vector)
             for island, vector in zip(ring, new_parameters):
                 island.parameters = vector
-            if control is not None:
-                control.checkpoint(snapshot())
+            run.checkpoint()
 
-    if metrics.enabled:
-        metrics.gauge("best_fitness", solver="saiga").set(champion_fitness)
     return SAIGAResult(
-        best_fitness=champion_fitness,
-        best_individual=champion,
         generations=generations,
-        evaluations=evaluations,
-        history=history,
-        elapsed=budget.elapsed(),
-        metrics=metrics.snapshot() if metrics.enabled else {},
         final_parameters=[island.parameters for island in ring],
+        **run.finish(),
     )

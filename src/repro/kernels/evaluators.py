@@ -1,10 +1,11 @@
 """Fitness evaluators backed by the bitset kernel.
 
-Drop-in replacements for the closures the heuristics already use
-(:func:`~repro.genetic.ga_ghw.make_ghw_evaluator` and the inline
-``ordering_width`` lambdas of GA-tw/SA/tabu): same signature
-``Sequence[Vertex] -> int``, same values on deterministic paths, but
-evaluated on interned bitmasks with the shared cover cache.
+Drop-in replacements for the pure-Python fitness closures
+(:func:`~repro.genetic.ga_ghw.make_ghw_evaluator` and ``ordering_width``):
+same signature ``Sequence[Vertex] -> int``, same values on deterministic
+paths, but evaluated on interned bitmasks with the shared cover cache.
+The ``make_*`` factories at the bottom are the one place the heuristics
+choose between the backends and the process pool.
 
 Each evaluator publishes ``kernel_evaluations`` and ``cover_cache``
 hit/miss deltas to the ambient :mod:`repro.obs` metrics once per call
@@ -105,3 +106,32 @@ def make_ghw_evaluator_backend(
     from repro.genetic.ga_ghw import make_ghw_evaluator
 
     return make_ghw_evaluator(hypergraph, rng=rng)
+
+
+def make_evaluators(
+    instance: Graph | Hypergraph,
+    measure: str,
+    backend: str = "python",
+    jobs: int = 1,
+    rng=None,
+):
+    """``(evaluate, batch_evaluate, close)`` for the GA and SAIGA loops.
+
+    ``jobs > 1`` evaluates populations on a process pool, which
+    ``close`` shuts down; otherwise ``batch_evaluate`` is ``None`` and
+    ``close`` does nothing. ``rng`` breaks the pure-Python greedy cover
+    ties of ``measure="ghw"``.
+    """
+    check_backend(backend)
+    if jobs > 1:
+        from repro.kernels.parallel import ParallelEvaluator
+
+        evaluator = ParallelEvaluator(
+            instance, measure=measure, jobs=jobs, backend=backend
+        )
+        return evaluator, evaluator.evaluate_population, evaluator.close
+    if measure == "tw":
+        evaluate = make_tw_evaluator(instance, backend=backend)
+    else:
+        evaluate = make_ghw_evaluator_backend(instance, backend=backend, rng=rng)
+    return evaluate, None, lambda: None

@@ -23,8 +23,7 @@ from dataclasses import dataclass, field
 
 from repro import obs
 from repro.hypergraphs.graph import Vertex
-from repro.obs.budget import Budget
-from repro.obs.control import SolverControl
+from repro.obs.control import AnytimeRun, SolverControl
 
 Permutation = list[Vertex]
 Evaluator = Callable[[Sequence[Vertex]], int]
@@ -79,11 +78,11 @@ def tabu_search(
     stop, best-so-far publication, one resume snapshot per iteration);
     ``resume_state`` continues a snapshotted walk at its saved iteration
     (the tabu list is serialised as ``[vertex, expiry]`` pairs so the
-    snapshot survives a JSON round trip).
+    snapshot survives a JSON round trip; orderings that do not permute
+    ``elements`` raise :class:`ValueError`).
     """
     parameters = (parameters or TabuParameters()).validated()
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    budget = Budget(time_limit=time_limit)
     ins = obs.current()
     metrics = ins.metrics
     moves_applied = metrics.counter("moves", solver="tabu", outcome="applied")
@@ -100,64 +99,41 @@ def tabu_search(
         rng.shuffle(current)
     n = len(current)
 
+    def fields() -> dict:
+        return {
+            "current": list(current),
+            "current_fitness": current_fitness,
+            "tabu": [[vertex, expiry] for vertex, expiry in tabu_until.items()],
+            "stalled": stalled,
+            "iteration": iteration,
+        }
+
+    run = AnytimeRun(
+        "tabu", elements, rng, fields,
+        time_limit=time_limit, target=target, control=control,
+    )
     with ins.tracer.span(
         "tabu", tenure=parameters.tenure, iterations=parameters.iterations
     ):
         if resume_state is None:
             current_fitness = evaluate(current)
-            best, best_fitness = list(current), current_fitness
-            evaluations = 1
             evaluations_total.inc()
-            history = [best_fitness]
             tabu_until: dict[Vertex, int] = {}
             stalled = 0
             iteration = 0
+            run.start(current_fitness, list(current), evaluations=1)
         else:
-            if resume_state.get("rng_state") is not None:
-                rng.setstate(resume_state["rng_state"])
-            current = list(resume_state["current"])
+            current = run.ordering(resume_state["current"])
             current_fitness = int(resume_state["current_fitness"])
-            best = list(resume_state["best_individual"])
-            best_fitness = int(resume_state["best_fitness"])
-            evaluations = int(resume_state.get("evaluations", 0))
-            history = list(resume_state.get("history", [best_fitness]))
             tabu_until = {
                 vertex: int(expiry)
                 for vertex, expiry in resume_state.get("tabu", [])
             }
             stalled = int(resume_state.get("stalled", 0))
             iteration = int(resume_state.get("iteration", 0))
-        if control is not None:
-            control.publish_upper(best_fitness, best)
-
-        def snapshot() -> dict:
-            return {
-                "best_fitness": best_fitness,
-                "best_individual": list(best),
-                "current": list(current),
-                "current_fitness": current_fitness,
-                "tabu": [[vertex, expiry] for vertex, expiry in tabu_until.items()],
-                "stalled": stalled,
-                "iteration": iteration,
-                "evaluations": evaluations,
-                "history": list(history),
-                "rng_state": rng.getstate(),
-            }
-
-        if control is not None:
-            control.checkpoint(snapshot())
-        while iteration < parameters.iterations:
-            if target is not None and best_fitness <= target:
-                break
-            if budget.exhausted():
-                break
-            if control is not None:
-                if control.should_stop():
-                    break
-                shared_lb = control.shared_lower_bound()
-                if shared_lb is not None and best_fitness <= shared_lb:
-                    break
-
+            run.resume(resume_state)
+        while iteration < parameters.iterations and not run.stop():
+            best_fitness = run.best_fitness
             best_move: tuple[int, int] | None = None
             best_move_fitness: int | None = None
             for _ in range(parameters.neighbourhood_sample):
@@ -170,7 +146,7 @@ def tabu_search(
                 neighbour.pop(source)
                 neighbour.insert(destination, vertex)
                 fitness = evaluate(neighbour)
-                evaluations += 1
+                run.evaluations += 1
                 evaluations_total.inc()
                 is_tabu = tabu_until.get(vertex, -1) >= iteration
                 if is_tabu and fitness >= best_fitness:
@@ -190,34 +166,21 @@ def tabu_search(
                 tabu_until[vertex] = iteration + parameters.tenure
                 moves_applied.inc()
                 if current_fitness < best_fitness:
-                    best, best_fitness = list(current), current_fitness
                     stalled = 0
-                    if control is not None:
-                        control.publish_upper(best_fitness, best)
+                    run.improved(current_fitness, list(current))
                 else:
                     stalled += 1
             if stalled >= parameters.stall_restart:
-                current = list(best)
-                current_fitness = best_fitness
+                current = list(run.best_individual)
+                current_fitness = run.best_fitness
                 tabu_until.clear()
                 stalled = 0
                 restarts_total.inc()
-            history.append(best_fitness)
+            run.history.append(run.best_fitness)
             iteration += 1
-            if control is not None:
-                control.checkpoint(snapshot())
+            run.checkpoint()
 
-    if metrics.enabled:
-        metrics.gauge("best_fitness", solver="tabu").set(best_fitness)
-    return TabuResult(
-        best_fitness=best_fitness,
-        best_individual=best,
-        evaluations=evaluations,
-        iterations=len(history) - 1,
-        history=history,
-        elapsed=budget.elapsed(),
-        metrics=metrics.snapshot() if metrics.enabled else {},
-    )
+    return TabuResult(iterations=len(run.history) - 1, **run.finish())
 
 
 def tabu_treewidth(

@@ -21,7 +21,9 @@ never leaves a truncated snapshot behind.
 Snapshots carry orderings and bounds of one instance only: resuming them
 on any other instance would report that instance's widths. The manifest
 therefore records :func:`instance_fingerprint`, and :func:`check_instance`
-refuses a directory whose fingerprint does not match.
+refuses a directory whose fingerprint does not match; :func:`check_states`
+refuses a worker snapshot whose best ordering is not a permutation of the
+instance's vertices (a worker file copied in from another race).
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import zlib
 from pathlib import Path
 
 from repro.hypergraphs.hypergraph import Hypergraph
+from repro.obs.control import permutes
 
 MANIFEST = "manifest.json"
 _WORKER_PREFIX = "worker-"
@@ -77,6 +80,19 @@ def check_instance(directory: str | Path, instance) -> None:
         raise CheckpointMismatchError(
             f"checkpoint {str(directory)!r} {reason}; refusing to resume it"
         )
+
+
+def check_states(directory: str | Path, states: dict[str, dict], instance) -> None:
+    """Raise :class:`CheckpointMismatchError` unless every worker
+    snapshot's ``best_individual`` permutes ``instance``'s vertices."""
+    vertices = set(instance.vertices())
+    for worker, state in states.items():
+        if not permutes(state.get("best_individual"), vertices):
+            path = Path(directory) / f"{_WORKER_PREFIX}{worker}.json"
+            raise CheckpointMismatchError(
+                f"snapshot {str(path)!r} does not order this instance's "
+                "vertices; refusing to resume it"
+            )
 
 
 def encode_rng_state(state) -> list:

@@ -43,6 +43,7 @@ from repro.portfolio.bus import (
 from repro.portfolio.checkpoint import (
     Checkpointer,
     check_instance,
+    check_states,
     instance_fingerprint,
     list_worker_states,
     read_manifest,
@@ -101,8 +102,9 @@ def run_portfolio(
 
     With ``resume=True`` (and a ``checkpoint_dir``), worker snapshots
     from an earlier race on the same instance seed the incumbent and the
-    resumable solvers' state; a directory written for another instance
-    raises :class:`CheckpointMismatchError`. Use :func:`resume_portfolio`
+    resumable solvers' state; a directory written for another instance,
+    or a worker snapshot whose best ordering does not permute the
+    instance's vertices, raises :class:`CheckpointMismatchError`. Use :func:`resume_portfolio`
     to also recover the strategy set from the manifest.
     """
     spec = spec.validated()
@@ -116,6 +118,7 @@ def run_portfolio(
             worker: revive_vertices(state, instance.vertices())
             for worker, state in list_worker_states(spec.checkpoint_dir).items()
         }
+        check_states(spec.checkpoint_dir, resume_states, instance)
         _seed_incumbent(incumbent, resume_states)
     if spec.checkpoint_dir:
         write_manifest(
